@@ -31,7 +31,7 @@
 //   3. Apply phase, per shard (parallelizable): each shard applies the
 //      arrivals addressed TO it — previous shard's down-list, own local
 //      list, next shard's up-list, i.e. ascending source-router order —
-//      then credits, then compacts its worklists. Only the owning shard
+//      then credits. Only the owning shard
 //      ever writes its routers, so phases 1 and 3 are data-race-free by
 //      partition.
 //   4. Serial coordinator phase: ejection statistics and the delivery
@@ -43,27 +43,24 @@
 //      lists is state-equivalent: at most one flit per (router, port,
 //      VC) arrives per cycle and credit increments commute.)
 //
-// Two worklists per shard keep idle structure off the per-cycle path:
-//  * active_routers — a router ENTERS when a flit is delivered to it
-//    (NI injection or link arrival) while not already listed, and LEAVES
-//    at the end-of-step compaction once `buffered_flits() == 0`. A router
-//    with an Active-but-empty VC (wormhole body flits still upstream) has
-//    buffered == 0 and correctly leaves: only a new flit arrival — which
-//    re-activates it — can give it work. Credit returns never activate:
-//    credits matter only to routers that hold flits, which are listed.
-//    Invariant between steps: buffered_flits(r) > 0  =>  r is listed.
-//  * active_sources — a node ENTERS when inject() lands a packet in its
-//    empty source queue and LEAVES at the network-interface compaction
-//    once the queue is empty (including after a quarantine flush).
-//    Invariant between steps: !source_queue_empty(n)  =>  n is listed.
-//  In both lists the membership flag (router_active_ / source_active_)
-//  mirrors list membership exactly, and a list may transiently hold
-//  already-drained entries until its next compaction. Before each sweep a
-//  list is brought into ascending order — by sorting when sparse, or by
-//  rebuilding from the membership flags when dense (cheaper than
-//  sort at saturation) — so every sweep visits routers in id order. A
-//  shard whose worklists are empty costs nothing: quiescent regions of a
-//  large mesh are skipped wholesale (the activity-driven fast path).
+// Two activity bitsets per shard (common/index_bitset.hpp, over the
+// shard's id range) keep idle structure off the per-cycle path:
+//  * active_routers — bit set iff the router holds flits. An arrival (NI
+//    injection or link arrival) sets it; the route phase clears it when
+//    the router's own step leaves it empty. A router with an
+//    Active-but-empty VC (wormhole body flits still upstream) has nothing
+//    to do until a new flit arrives and sets its bit again. Credit returns
+//    never set it: credits matter only to routers that hold flits.
+//    Invariant between steps: bit(r) == (buffered_flits(r) > 0).
+//  * active_sources — bit set iff the node's source queue is non-empty.
+//    inject() sets it; the NI phase clears it when the queue empties (a
+//    quarantine flush empties a queue outside the phase, and the next NI
+//    phase clears the stale bit).
+// Both sweeps walk the bits in ascending id order, so every sweep visits
+// routers in id order with no sorting and no compaction pass. Each shard
+// writes only its own bitsets. A shard with no bits set costs one word
+// test per 64 routers: quiescent regions of a large mesh are skipped
+// wholesale (the activity-driven fast path).
 //
 // Mesh::step performs ZERO steady-state heap allocations: every arena —
 // per-shard staging lists included — is reserved at its physical per-cycle
@@ -79,6 +76,7 @@
 #include <vector>
 
 #include "common/geometry.hpp"
+#include "common/index_bitset.hpp"
 #include "noc/flit.hpp"
 #include "noc/router.hpp"
 #include "noc/stats.hpp"
@@ -93,10 +91,11 @@ struct MeshConfig {
   /// explicit values are clamped to [1, rows]. Results are bitwise
   /// identical at ANY shard count — sharding only re-groups the sweep.
   std::int32_t shards = 0;
-  /// Worker threads stepping the shards. 0 = auto (min(shards, hardware
-  /// concurrency)); explicit values are clamped to [1, shards]. 1 = fully
-  /// serial (no pool is created). Results are bitwise identical at ANY
-  /// thread count — see the phase contract above.
+  /// Worker threads stepping the shards. 0 = auto: serial below 4 shards
+  /// (the per-cycle barrier costs more than 2-3 shards of work save),
+  /// else min(shards, hardware concurrency). Explicit values are clamped
+  /// to [1, shards]. 1 = fully serial (no pool is created). Results are
+  /// bitwise identical at ANY thread count — see the phase contract above.
   std::int32_t step_threads = 0;
 };
 
@@ -247,10 +246,9 @@ class Mesh {
     NodeId first = 0;  ///< first router id of the band (inclusive)
     NodeId end = 0;    ///< one past the band's last router id
 
-    // Worklists (per-shard restriction of the former global lists).
-    std::vector<NodeId> active_routers;
-    std::vector<NodeId> active_sources;
-    std::vector<NodeId> order_scratch;  ///< dense-mode ascending rebuild
+    // Activity bitsets over local ids (id - first); see the header block.
+    IndexBitset active_routers;
+    IndexBitset active_sources;
 
     // Per-router step scratch (cleared per router, capacity kept).
     std::vector<LinkTransfer> transfers;
@@ -277,27 +275,6 @@ class Mesh {
   void finish_cycle();
   /// Phases 1-3 for every shard owned by `participant` (strided).
   void step_shards(std::int32_t participant);
-  /// Bring a worklist into ascending order (sort when sparse, rebuild from
-  /// the membership flags when dense).
-  void order_worklist(std::vector<NodeId>& list, std::vector<NodeId>& scratch,
-                      const std::vector<char>& flags, NodeId first, NodeId end);
-
-  /// Put a router on its shard's active worklist (idempotent).
-  void activate_router(NodeId id) {
-    if (router_active_[static_cast<std::size_t>(id)] == 0) {
-      router_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_routers.push_back(id);
-    }
-  }
-  /// Put a source queue on its shard's active worklist (idempotent).
-  void activate_source(NodeId id) {
-    if (source_active_[static_cast<std::size_t>(id)] == 0) {
-      source_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_sources.push_back(id);
-    }
-  }
 
   MeshConfig cfg_;
   Cycle now_ = 0;
@@ -323,11 +300,6 @@ class Mesh {
   std::vector<std::array<NodeId, kNumMeshDirections>> neighbors_;
   std::int32_t step_threads_ = 1;
   std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
-
-  // Worklist membership flags (global, indexed by node id; each entry is
-  // only written by the node's owning shard during parallel phases).
-  std::vector<char> router_active_;
-  std::vector<char> source_active_;
 };
 
 /// Full XY route from src to dst, inclusive of both endpoints.

@@ -43,7 +43,7 @@ class Simulation {
   }
   /// Step without injecting (lets the network drain). The drained() probe
   /// per cycle is cheap: it sums buffered flits over the active-router
-  /// worklist, not the whole mesh.
+  /// sets, not the whole mesh.
   void run_drain(std::int64_t max_cycles) {
     for (std::int64_t i = 0; i < max_cycles && !mesh_.drained(); ++i) mesh_.step();
   }

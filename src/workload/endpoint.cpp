@@ -11,17 +11,19 @@ RequestReplyWorkload::RequestReplyWorkload(const MeshShape& mesh,
                                            std::unique_ptr<TraceSource> source,
                                            std::vector<NodeId> servers,
                                            const RequestReplyConfig& cfg)
-    : mesh_shape_(mesh), source_(std::move(source)), servers_(std::move(servers)), cfg_(cfg) {
+    : source_(std::move(source)), servers_(std::move(servers)), cfg_(cfg) {
   assert(source_ != nullptr);
-  const auto n = static_cast<std::size_t>(mesh_shape_.node_count());
+  const auto n = static_cast<std::size_t>(mesh.node_count());
   is_server_.assign(n, 0);
   for (const NodeId s : servers_) {
-    assert(mesh_shape_.valid(s));
+    assert(mesh.valid(s));
     is_server_[static_cast<std::size_t>(s)] = 1;
   }
   pending_.resize(n);
   outstanding_.assign(n, 0);
   reply_queues_.resize(n);
+  due_nodes_ = IndexBitset(n);
+  reply_nodes_ = IndexBitset(n);
   latency_hist_.assign(kLatencyBuckets, 0);
 }
 
@@ -48,9 +50,11 @@ void RequestReplyWorkload::tick(noc::Mesh& mesh) {
 void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
   // Ascending node order keeps the injection sequence — and therefore the
   // whole simulation — deterministic. Requests normally land on servers_,
-  // but a file trace may address any node, so every queue is swept.
-  for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
-    auto& q = reply_queues_[static_cast<std::size_t>(node)];
+  // but a file trace may address any node, so every non-empty queue is
+  // visited.
+  reply_nodes_.for_each([&](std::size_t i) {
+    const auto node = static_cast<NodeId>(i);
+    auto& q = reply_queues_[i];
     while (!q.empty() && q.front().ready <= now) {
       if (mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
         // NI backed up: the reply stays queued (head-of-line within this
@@ -70,7 +74,8 @@ void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
       reply_meta_.emplace(pid, ReplyMeta{r.client, r.issue_cycle});
       ++stats_.replies_issued;
     }
-  }
+    if (q.empty()) reply_nodes_.reset(i);
+  });
 }
 
 void RequestReplyWorkload::pull_due_records(noc::Cycle now) {
@@ -84,13 +89,15 @@ void RequestReplyWorkload::pull_due_records(noc::Cycle now) {
     }
     if (peeked_.cycle > now) break;
     pending_[static_cast<std::size_t>(peeked_.src)].push_back(peeked_);
+    due_nodes_.set(static_cast<std::size_t>(peeked_.src));
     have_peeked_ = false;
   }
 }
 
 void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
-  for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
-    auto& due = pending_[static_cast<std::size_t>(node)];
+  due_nodes_.for_each([&](std::size_t i) {
+    const auto node = static_cast<NodeId>(i);
+    auto& due = pending_[i];
     while (!due.empty()) {
       const TraceRecord& rec = due.front();
       if (rec.kind == TraceKind::Reply) {
@@ -108,7 +115,7 @@ void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
       if (!cfg_.open_loop) {
         // Closed loop: the outstanding window and the NI queue both gate
         // issue; a blocked head blocks only this client's later records.
-        if (outstanding_[static_cast<std::size_t>(node)] >= cfg_.window ||
+        if (outstanding_[i] >= cfg_.window ||
             mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
           ++stats_.issue_stall_cycles;
           break;
@@ -122,10 +129,11 @@ void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
       }
       request_meta_.emplace(pid, RequestMeta{now});
       ++stats_.requests_issued;
-      ++outstanding_[static_cast<std::size_t>(node)];
+      ++outstanding_[i];
       due.pop_front();
     }
-  }
+    if (due.empty()) due_nodes_.reset(i);
+  });
 }
 
 void RequestReplyWorkload::on_packet_delivered(const noc::Flit& tail, noc::Cycle now) {
@@ -133,6 +141,7 @@ void RequestReplyWorkload::on_packet_delivered(const noc::Flit& tail, noc::Cycle
     ++stats_.requests_delivered;
     reply_queues_[static_cast<std::size_t>(tail.dst)].push_back(
         PendingReply{now + cfg_.service_latency, tail.src, it->second.issue_cycle});
+    reply_nodes_.set(static_cast<std::size_t>(tail.dst));
     request_meta_.erase(it);
     return;
   }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/geometry.hpp"
+#include "common/index_bitset.hpp"
 #include "noc/mesh.hpp"
 #include "traffic/generator.hpp"
 #include "workload/trace.hpp"
@@ -116,7 +117,6 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   void issue_requests(noc::Mesh& mesh, noc::Cycle now);
   void pull_due_records(noc::Cycle now);
 
-  MeshShape mesh_shape_;
   std::unique_ptr<TraceSource> source_;
   std::vector<NodeId> servers_;
   std::vector<char> is_server_;
@@ -128,6 +128,10 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   std::vector<std::deque<TraceRecord>> pending_;
   std::vector<std::int32_t> outstanding_;
   std::vector<std::deque<PendingReply>> reply_queues_;  ///< per server, FIFO by ready cycle
+  /// Nodes with a non-empty pending_ / reply_queues_ entry: the per-cycle
+  /// sweeps visit only these, in ascending node order.
+  IndexBitset due_nodes_;
+  IndexBitset reply_nodes_;
 
   std::unordered_map<noc::PacketId, RequestMeta> request_meta_;
   std::unordered_map<noc::PacketId, ReplyMeta> reply_meta_;

@@ -343,13 +343,16 @@ TEST(NocGolden, ScenarioC32x32ShortRun) {
 // bit-for-bit at ANY shard/thread combination: same ejection counts, same
 // order-sensitive floating-point latency sums, same telemetry hashes. Each
 // sweep fixes the scenario and varies only the partition.
+// Every sweep steps its k shards on k threads explicitly: the automatic
+// thread count stays serial below 4 shards, and these sweeps are what
+// keeps the step pool (and TSan's view of it) exercised.
 
 TEST(NocGolden, ScenarioAShardSweepBitwiseIdentical) {
   if (print_mode()) return;
   const Golden reference = run_scenario_a(/*shards=*/1, /*step_threads=*/1);
   for (const std::int32_t k : {2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
-    expect_equal(run_scenario_a(k, /*step_threads=*/0), reference);
+    expect_equal(run_scenario_a(k, /*step_threads=*/k), reference);
   }
 }
 
@@ -359,7 +362,7 @@ TEST(NocGolden, ScenarioBShardSweepBitwiseIdentical) {
   const Golden reference = run_scenario_b(/*shards=*/1, /*step_threads=*/1);
   for (const std::int32_t k : {2, 3, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
-    expect_equal(run_scenario_b(k, /*step_threads=*/0), reference);
+    expect_equal(run_scenario_b(k, /*step_threads=*/k), reference);
   }
 }
 
@@ -368,7 +371,7 @@ TEST(NocGolden, ScenarioCShardSweepBitwiseIdentical) {
   const Golden reference = run_scenario_c(/*shards=*/1, /*step_threads=*/1);
   for (const std::int32_t k : {2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
-    expect_equal(run_scenario_c(k, /*step_threads=*/0), reference);
+    expect_equal(run_scenario_c(k, /*step_threads=*/k), reference);
   }
   // Threads pinned above the shard count (clamped back) and a deliberately
   // uneven 32 = 7-band split round out the partition edge cases.
